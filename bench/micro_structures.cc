@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for LSVD's core data structures: the
-// extent map (all three translation maps, §3.1/§6.1), the event engine,
-// CRC32C, and the journal/object codecs. These justify the in-memory-map
-// design decision (§6.1: ~24 bytes and sub-microsecond operations per entry)
-// and track the hot-path CPU work (docs/PERF.md).
+// extent map (all three translation maps, §3.1/§6.1), the event engine, the
+// simulated SSD's contents store, CRC32C, and the journal/object codecs.
+// These justify the in-memory-map design decision (§6.1: ~24 bytes and
+// sub-microsecond operations per entry) and track the hot-path CPU work
+// (docs/PERF.md).
 //
 // Benchmarks report an "allocs_per_op" counter (heap allocations per
 // iteration, via the operator-new hook below) so allocation regressions in
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/blockdev/sim_ssd.h"
 #include "src/lsvd/extent_map.h"
 #include "src/lsvd/journal.h"
 #include "src/lsvd/object_format.h"
@@ -193,6 +195,46 @@ void BM_SimulatorMixedHorizon(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
 }
 BENCHMARK(BM_SimulatorMixedHorizon)->Arg(64)->Arg(1024);
+
+// Simulated SSD contents: one write of real bytes at a random offset, one
+// read of the same size elsewhere, a flush every 32 ops (the shape of journal
+// appends, cache fills and reads, and barriers). Counts the host cost the
+// device model adds to every simulated IO.
+void BM_SimSsdWriteReadFlush(benchmark::State& state) {
+  const auto size = static_cast<uint64_t>(state.range(0));
+  constexpr uint64_t kCapacity = 32 * kMiB;
+  Simulator sim;
+  SimSsd ssd(&sim, kCapacity, SsdParams::Instant());
+  std::vector<uint8_t> bytes(size);
+  for (uint64_t i = 0; i < size; i++) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const Buffer data = Buffer::FromBytes(bytes);
+  const uint64_t slots = kCapacity / size;
+  Rng rng(5);
+  // Pre-fill so reads and overwrites hit stored data.
+  for (uint64_t i = 0; i < slots; i++) {
+    ssd.Write(i * size, data, [](Status) {});
+  }
+  ssd.Flush([](Status) {});
+  sim.Run();
+  uint64_t ops = 0;
+  uint64_t sink = 0;
+  AllocCounter allocs(state);
+  for (auto _ : state) {
+    ssd.Write(rng.Uniform(slots) * size, data, [](Status) {});
+    ssd.Read(rng.Uniform(slots) * size, size,
+             [&sink](Result<Buffer> r) { sink += r->size(); });
+    if (++ops % 32 == 0) {
+      ssd.Flush([](Status) {});
+    }
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_SimSsdWriteReadFlush)->Arg(4 * 1024)->Arg(64 * 1024);
 
 void BM_Crc32c(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0xA5);

@@ -96,55 +96,6 @@ void SimSsd::SubmitOp(bool is_write, uint64_t offset, uint64_t len,
   }
 }
 
-void SimSsd::StoreBlocks(BlockMap* map, uint64_t offset, const Buffer& data) {
-  const uint64_t blocks = data.size() / kBlockSize;
-  if (data.IsAllZeros()) {
-    // Bulk payloads are symbolic zero runs; skip per-block slicing.
-    for (uint64_t i = 0; i < blocks; i++) {
-      (*map)[offset / kBlockSize + i] = nullptr;
-    }
-    return;
-  }
-  for (uint64_t i = 0; i < blocks; i++) {
-    const uint64_t block = offset / kBlockSize + i;
-    // A block that is exactly one already-materialized chunk (e.g. an
-    // encoded journal header) is stored by reference, not copied.
-    if (auto whole = data.SharedSpan(i * kBlockSize, kBlockSize)) {
-      (*map)[block] = std::move(whole);
-      continue;
-    }
-    Buffer slice = data.Slice(i * kBlockSize, kBlockSize);
-    if (slice.IsAllZeros()) {
-      (*map)[block] = nullptr;
-    } else {
-      (*map)[block] = std::make_shared<const std::vector<uint8_t>>(
-          slice.ToBytes());
-    }
-  }
-}
-
-Buffer SimSsd::LoadBlocks(uint64_t offset, uint64_t len) const {
-  Buffer out;
-  const uint64_t blocks = len / kBlockSize;
-  for (uint64_t i = 0; i < blocks; i++) {
-    const uint64_t block = offset / kBlockSize + i;
-    const BlockData* data = nullptr;
-    if (auto it = volatile_.find(block); it != volatile_.end()) {
-      data = &it->second;
-    } else if (auto jt = durable_.find(block); jt != durable_.end()) {
-      data = &jt->second;
-    }
-    if (data == nullptr || *data == nullptr) {
-      out.AppendZeros(kBlockSize);
-    } else {
-      // Share the stored block's storage; stored blocks are immutable and
-      // map-value replacement only swaps the shared_ptr, so sharing is safe.
-      out.AppendShared(*data);
-    }
-  }
-  return out;
-}
-
 void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
   if (!Aligned(offset) || !Aligned(data.size()) || data.empty()) {
     done(Status::InvalidArgument("unaligned or empty SSD write"));
@@ -163,9 +114,12 @@ void SimSsd::Write(uint64_t offset, Buffer data, WriteCallback done) {
     });
     return;
   }
-  // Contents land in the volatile cache as soon as the op is accepted;
-  // completion is acknowledged after the service time.
-  StoreBlocks(&volatile_, offset, data);
+  // Contents land as soon as the op is accepted; completion is acknowledged
+  // after the service time.
+  if (shadows_.empty() || shadows_.back().window != open_window_) {
+    shadows_.push_back(ShadowList{open_window_, {}});
+  }
+  store_.Write(offset, data, open_window_, &shadows_.back().displaced);
   SubmitOp(true, offset, data.size(),
            [done = std::move(done)]() { done(Status::Ok()); });
 }
@@ -181,7 +135,7 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
   }
   stats_.read_ops++;
   stats_.read_bytes += len;
-  Buffer data = LoadBlocks(offset, len);
+  Buffer data = store_.Read(offset, len);
   SubmitOp(false, offset, len,
            [done = std::move(done), data = std::move(data)]() {
     done(data);
@@ -190,35 +144,28 @@ void SimSsd::Read(uint64_t offset, uint64_t len, ReadCallback done) {
 
 void SimSsd::Flush(WriteCallback done) {
   stats_.flushes++;
-  // Everything currently in the volatile cache becomes durable when the
-  // flush completes; writes submitted after this point are not covered.
-  auto flushed = std::make_shared<BlockMap>(std::move(volatile_));
-  volatile_.clear();
-  // The moved-from map lost its buckets; pre-size for the next flush window
-  // (steady-state windows carry similar write counts) to avoid re-growing
-  // the table from scratch every cycle.
-  volatile_.reserve(flushed->size());
-  const uint64_t epoch = epoch_;
-  write_queue_.Submit(params_.flush,
-                      [this, epoch, flushed, done = std::move(done)]() {
-    if (epoch == epoch_) {
-      for (auto& [block, data] : *flushed) {
-        durable_[block] = std::move(data);
-      }
+  // The flush covers every write accepted before this point.
+  const uint64_t window = open_window_++;
+  write_queue_.Submit(params_.flush, [this, window, done = std::move(done)]() {
+    while (!shadows_.empty() && shadows_.front().window <= window) {
+      shadows_.pop_front();
     }
     done(Status::Ok());
   });
 }
 
 void SimSsd::PowerFail() {
-  volatile_.clear();
-  epoch_++;
+  for (auto list = shadows_.rbegin(); list != shadows_.rend(); ++list) {
+    for (auto d = list->displaced.rbegin(); d != list->displaced.rend(); ++d) {
+      store_.Restore(*d);
+    }
+  }
+  shadows_.clear();
 }
 
 void SimSsd::DiscardAll() {
-  volatile_.clear();
-  durable_.clear();
-  epoch_++;
+  store_.Clear();
+  shadows_.clear();
 }
 
 }  // namespace lsvd

@@ -8,19 +8,25 @@
 // (bcache allocation) pays the per-op random-write cost — the mechanism
 // behind the paper's Figure 6 result.
 //
-// Crash semantics: completed writes sit in a volatile cache until Flush;
-// PowerFail() drops the volatile cache (crash with device surviving),
-// DiscardAll() models total cache loss (device gone / machine replaced).
+// Crash semantics: the contents are one extent map (SliceStore) that reads
+// and writes share, so a read sees every write accepted before it. Writes
+// are not durable until a flush issued after them completes; completing a
+// flush makes every write accepted before it durable. Each Flush closes the
+// open flush window; each write keeps, on its window's shadow list, what it
+// displaced from earlier windows (never-written holes included). When flush
+// k completes the lists of windows <= k are freed. PowerFail() (crash with
+// the device surviving) replays the remaining lists newest first, which
+// restores the state of the last completed flush; DiscardAll() models total
+// cache loss (device gone / machine replaced).
 #ifndef SRC_BLOCKDEV_SIM_SSD_H_
 #define SRC_BLOCKDEV_SIM_SSD_H_
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/blockdev/block_device.h"
+#include "src/blockdev/slice_store.h"
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
 
@@ -103,17 +109,17 @@ class SimSsd : public BlockDevice {
   const SsdStats& stats() const { return stats_; }
 
  private:
-  using BlockData = std::shared_ptr<const std::vector<uint8_t>>;
-  // nullptr value = explicitly-written zero block; absent key = never written
-  // (also zeros). The distinction matters only for the volatile overlay.
-  using BlockMap = std::unordered_map<uint64_t, BlockData>;
+  // What the writes of one flush window displaced: PowerFail puts it back
+  // unless a flush covering the window completed first.
+  struct ShadowList {
+    uint64_t window = 0;
+    std::vector<SliceStore::Displaced> displaced;
+  };
 
   void SubmitOp(bool is_write, uint64_t offset, uint64_t len,
                 std::function<void()> done);
   bool MatchStream(std::deque<uint64_t>* streams, uint64_t offset,
                    uint64_t end);
-  void StoreBlocks(BlockMap* map, uint64_t offset, const Buffer& data);
-  Buffer LoadBlocks(uint64_t offset, uint64_t len) const;
 
   Simulator* sim_;
   uint64_t capacity_;
@@ -123,13 +129,13 @@ class SimSsd : public BlockDevice {
   // bandwidths.
   ServerQueue read_queue_;
   ServerQueue write_queue_;
-  BlockMap durable_;
-  BlockMap volatile_;
+  SliceStore store_;
+  // Windows in increasing order. A window opened after a PowerFail is newer
+  // than every flush still in flight, so such a flush frees nothing of it.
+  std::deque<ShadowList> shadows_;
+  uint64_t open_window_ = 1;  // window of the writes accepted now
   std::deque<uint64_t> write_streams_;  // recent write end offsets
   std::deque<uint64_t> read_streams_;
-  // Bumped by PowerFail/DiscardAll so that in-flight flushes cannot promote
-  // pre-crash volatile data to durable after the failure.
-  uint64_t epoch_ = 0;
   int fail_next_writes_ = 0;
   SsdStats stats_;
 };

@@ -283,9 +283,12 @@ bool WriteCache::StartOneRecord() {
   record.batch_seq = max_batch;
 
   const uint64_t record_size = kBlockSize + data_len;
+  // Wrap when the record does not fit before the region end. The skipped
+  // tail (empty when head_ sits exactly on the end) is charged as a gap.
   const uint64_t contiguous = base_ + size_ - head_;
-  const uint64_t gap = record_size > contiguous ? contiguous : 0;
-  const uint64_t target = gap > 0 ? log_base_ : head_;
+  const bool wrap = record_size > contiguous;
+  const uint64_t gap = wrap ? contiguous : 0;
+  const uint64_t target = wrap ? log_base_ : head_;
 
   RecordMeta meta;
   meta.seq = record.seq;
@@ -300,6 +303,7 @@ bool WriteCache::StartOneRecord() {
   const uint64_t seq = record.seq;
   next_seq_++;
   head_ = target + record_size;
+  assert(head_ <= base_ + size_);
   used_ += meta.footprint;
   c_records_->Inc();
   c_record_bytes_->Inc(record_size);

@@ -142,26 +142,6 @@ Buffer Buffer::Slice(uint64_t offset, uint64_t len) const {
   return out;
 }
 
-std::shared_ptr<const std::vector<uint8_t>> Buffer::SharedSpan(
-    uint64_t offset, uint64_t len) const {
-  assert(offset + len <= size_);
-  uint64_t pos = 0;
-  for (const auto& c : chunks_) {
-    const uint64_t chunk_end = pos + c.len;
-    if (offset < chunk_end) {
-      // First chunk overlapping the range: the whole range must lie inside
-      // it and line up with the full backing vector.
-      if (c.data != nullptr && offset + len <= chunk_end &&
-          c.offset + (offset - pos) == 0 && c.data->size() == len) {
-        return c.data;
-      }
-      return nullptr;
-    }
-    pos = chunk_end;
-  }
-  return nullptr;
-}
-
 std::vector<uint8_t> Buffer::ToBytes() const {
   std::vector<uint8_t> out(size_);
   if (size_ > 0) {

@@ -58,13 +58,6 @@ class Buffer {
   // Sub-range view; shares chunk storage.
   Buffer Slice(uint64_t offset, uint64_t len) const;
 
-  // If [offset, offset+len) is exactly one data chunk covering its entire
-  // backing vector, returns that vector (no copy); otherwise null. Lets a
-  // block store keep a reference to an already-materialized block (e.g. an
-  // encoded journal header) instead of copying it out.
-  std::shared_ptr<const std::vector<uint8_t>> SharedSpan(uint64_t offset,
-                                                         uint64_t len) const;
-
   // Materializes the whole buffer (tests / codec paths on small data only).
   std::vector<uint8_t> ToBytes() const;
 
@@ -73,12 +66,15 @@ class Buffer {
 
   friend bool operator==(const Buffer& a, const Buffer& b);
 
- private:
+  // One contiguous piece of a buffer: `len` bytes at `offset` of *data, or a
+  // zero run when data is null. Block stores keep chunks by reference
+  // instead of copying bytes out (src/blockdev/slice_store.h).
   struct Chunk {
     std::shared_ptr<const std::vector<uint8_t>> data;  // null => zero run
     uint64_t offset = 0;  // into *data (unused for zero runs)
     uint64_t len = 0;
   };
+  const std::vector<Chunk>& chunks() const { return chunks_; }
 
   // Appends one chunk, merging it into the tail when possible: adjacent zero
   // runs always merge, and data chunks merge when they reference contiguous
@@ -86,6 +82,7 @@ class Buffer {
   // re-assembled piecewise, e.g. batch encode and journal replay).
   void AppendChunk(const Chunk& c);
 
+ private:
   std::vector<Chunk> chunks_;
   uint64_t size_ = 0;
 };

@@ -2,8 +2,12 @@
 // crash injection, and the sequential-vs-random service model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "src/blockdev/sim_ssd.h"
 #include "src/sim/simulator.h"
@@ -203,6 +207,184 @@ TEST(SimSsd, FlushMakesPrecedingWritesDurable) {
   auto r = ReadSync(&sim, &ssd, 0, 4096);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, data);
+}
+
+// A read issued while a flush is in flight sees the newest accepted write,
+// not the contents of the last completed flush.
+TEST(SimSsd, ReadDuringInFlightFlushSeesNewData) {
+  Simulator sim;
+  SimSsd ssd(&sim, kMiB, SsdParams::P3700());
+  ASSERT_TRUE(WriteSync(&sim, &ssd, 0, Pattern(4096, 1)).ok());
+  ASSERT_TRUE(FlushSync(&sim, &ssd).ok());
+  Buffer newer = Pattern(4096, 2);
+  ASSERT_TRUE(WriteSync(&sim, &ssd, 0, newer).ok());
+
+  bool flushed = false;
+  ssd.Flush([&](Status s) {
+    ASSERT_TRUE(s.ok());
+    flushed = true;
+  });
+  std::optional<Result<Buffer>> read;
+  ssd.Read(0, 4096, [&](Result<Buffer> r) { read = std::move(r); });
+  sim.Run();
+  ASSERT_TRUE(flushed);
+  ASSERT_TRUE(read.has_value() && read->ok());
+  EXPECT_EQ(**read, newer);
+}
+
+// An overwrite accepted while a flush is in flight is not covered by it:
+// after PowerFail the device holds the state of the last completed flush.
+TEST(SimSsd, OverwriteDuringInFlightFlushThenPowerFail) {
+  for (const bool flush_completes : {true, false}) {
+    SCOPED_TRACE(flush_completes ? "flush completes" : "flush in flight");
+    Simulator sim;
+    SimSsd ssd(&sim, kMiB, SsdParams::P3700());
+    Buffer oldest = Pattern(8192, 1);
+    Buffer covered = Pattern(8192, 2);
+    ASSERT_TRUE(WriteSync(&sim, &ssd, 0, oldest).ok());
+    ASSERT_TRUE(FlushSync(&sim, &ssd).ok());
+    ASSERT_TRUE(WriteSync(&sim, &ssd, 0, covered).ok());
+
+    bool flushed = false;
+    ssd.Flush([&](Status) { flushed = true; });
+    // Overwrites one block and spills into a never-written one.
+    ssd.Write(4096, Pattern(8192, 3), [](Status) {});
+    if (flush_completes) {
+      sim.Run();
+      ASSERT_TRUE(flushed);
+    }
+    ssd.PowerFail();
+    sim.Run();
+
+    auto r = ReadSync(&sim, &ssd, 0, 12288);
+    ASSERT_TRUE(r.ok());
+    Buffer expect = flush_completes ? covered : oldest;
+    expect.AppendZeros(4096);
+    EXPECT_EQ(*r, expect);
+  }
+}
+
+// Seeded model check: random writes (multi-chunk buffers, slices of larger
+// vectors, zero runs), reads, flush submits, completions as virtual time
+// advances, PowerFail and DiscardAll, every read judged block by block
+// against a reference of what each 4 KiB block must hold.
+TEST(SimSsd, MatchesBlockModelUnderCrashes) {
+  constexpr uint64_t kBlocks = 64;
+  // Contents of block `b` written with tag `t`; tag 0 and every 5th tag are
+  // zeros.
+  auto block_bytes = [](uint64_t tag, uint64_t b) {
+    std::vector<uint8_t> out(kBlockSize, 0);
+    if (tag % 5 != 0) {
+      for (uint64_t i = 0; i < kBlockSize; i += 8) {
+        const uint64_t v = tag * 1000003 + b * 8191 + i;
+        for (uint64_t k = 0; k < 8; k++) {
+          out[i + k] = static_cast<uint8_t>(v >> (8 * k));
+        }
+      }
+    }
+    return out;
+  };
+  // A buffer whose chunks take the shapes writes arrive in: a zero run, or a
+  // slice of a larger vector and a second vector after a random split point.
+  auto make_write = [&](Rng& rng, uint64_t tag, uint64_t first, uint64_t n) {
+    if (tag % 5 == 0) {
+      return Buffer::Zeros(n * kBlockSize);
+    }
+    const uint64_t split = rng.Uniform(n + 1);
+    Buffer out;
+    for (const auto& [from, to] : {std::pair<uint64_t, uint64_t>{0, split},
+                                   std::pair<uint64_t, uint64_t>{split, n}}) {
+      if (from == to) {
+        continue;
+      }
+      const uint64_t pad = rng.Uniform(3);
+      auto bytes = std::make_shared<std::vector<uint8_t>>(
+          (to - from + 2 * pad) * kBlockSize, 0xEE);
+      for (uint64_t b = from; b < to; b++) {
+        const auto blk = block_bytes(tag, first + b);
+        std::copy(blk.begin(), blk.end(),
+                  bytes->data() + (b - from + pad) * kBlockSize);
+      }
+      Buffer whole;
+      whole.AppendShared(std::move(bytes));
+      out.Append(whole.Slice(pad * kBlockSize, (to - from) * kBlockSize));
+    }
+    return out;
+  };
+
+  for (uint64_t seed = 1; seed <= 8; seed++) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    SimSsd ssd(&sim, kBlocks * kBlockSize, SsdParams::P3700());
+    Rng rng(seed);
+    std::vector<uint64_t> current(kBlocks, 0);  // tag each block holds now
+    std::vector<uint64_t> durable(kBlocks, 0);  // after the last flush done
+    uint64_t crashes = 0;  // flushes issued before a crash cover nothing
+    uint64_t next_tag = 1;
+    int reads_checked = 0;
+    int reads_issued = 0;
+
+    for (int op = 0; op < 3000; op++) {
+      const uint64_t kind = rng.Uniform(100);
+      if (kind < 45) {
+        const uint64_t first = rng.Uniform(kBlocks);
+        const uint64_t n =
+            1 + rng.Uniform(std::min<uint64_t>(8, kBlocks - first));
+        const uint64_t tag = next_tag++;
+        ssd.Write(first * kBlockSize, make_write(rng, tag, first, n),
+                  [](Status s) { ASSERT_TRUE(s.ok()); });
+        std::fill(current.data() + first, current.data() + first + n, tag);
+      } else if (kind < 75) {
+        const uint64_t first = rng.Uniform(kBlocks);
+        const uint64_t n =
+            1 + rng.Uniform(std::min<uint64_t>(16, kBlocks - first));
+        std::vector<uint64_t> expect(current.data() + first,
+                                     current.data() + first + n);
+        reads_issued++;
+        ssd.Read(first * kBlockSize, n * kBlockSize,
+                 [&, first, expect](Result<Buffer> r) {
+          ASSERT_TRUE(r.ok());
+          const std::vector<uint8_t> got = r->ToBytes();
+          for (uint64_t b = 0; b < expect.size(); b++) {
+            const auto want = block_bytes(expect[b], first + b);
+            ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                   got.data() + b * kBlockSize))
+                << "block " << first + b << " expected tag " << expect[b];
+          }
+          reads_checked++;
+        });
+      } else if (kind < 87) {
+        ssd.Flush([&, snapshot = current, era = crashes](Status s) {
+          ASSERT_TRUE(s.ok());
+          if (era == crashes) {
+            durable = snapshot;
+          }
+        });
+      } else if (kind < 97) {
+        sim.RunUntil(sim.now() + static_cast<Nanos>(rng.Uniform(300)) *
+                                     kMicrosecond);
+      } else if (kind < 99) {
+        ssd.PowerFail();
+        crashes++;
+        current = durable;
+      } else {
+        ssd.DiscardAll();
+        crashes++;
+        std::fill(current.begin(), current.end(), 0);
+        durable = current;
+      }
+    }
+    sim.Run();
+    EXPECT_EQ(reads_checked, reads_issued);
+    // The final image, after one more crash.
+    ssd.PowerFail();
+    for (uint64_t b = 0; b < kBlocks; b++) {
+      auto r = ReadSync(&sim, &ssd, b * kBlockSize, kBlockSize);
+      ASSERT_TRUE(r.ok());
+      const auto want = block_bytes(durable[b], b);
+      EXPECT_EQ(r->ToBytes(), want) << "block " << b;
+    }
+  }
 }
 
 }  // namespace

@@ -102,31 +102,6 @@ TEST(Buffer, AllZeroBytesStoredAsZeroRun) {
   EXPECT_TRUE(b.IsAllZeros());
 }
 
-TEST(Buffer, SharedSpanReturnsExactWholeChunkOnly) {
-  auto block = std::make_shared<const std::vector<uint8_t>>(
-      std::vector<uint8_t>{1, 2, 3, 4});
-  Buffer b;
-  b.AppendZeros(4);
-  b.AppendShared(block);
-  b.AppendBytes(std::vector<uint8_t>{9, 9, 9, 9});
-
-  // Exactly the shared chunk: same backing vector, no copy.
-  EXPECT_EQ(b.SharedSpan(4, 4).get(), block.get());
-  // Zero runs, partial chunks, chunk-crossing ranges, and the trailing
-  // copied chunk (whose vector matches the range but was appended by copy —
-  // still a valid share of its own backing storage) behave as specified.
-  EXPECT_EQ(b.SharedSpan(0, 4), nullptr);     // zero run
-  EXPECT_EQ(b.SharedSpan(4, 2), nullptr);     // proper prefix of the chunk
-  EXPECT_EQ(b.SharedSpan(5, 3), nullptr);     // proper suffix of the chunk
-  EXPECT_EQ(b.SharedSpan(2, 4), nullptr);     // crosses a chunk boundary
-  ASSERT_NE(b.SharedSpan(8, 4), nullptr);     // AppendBytes chunk, whole
-  EXPECT_EQ(*b.SharedSpan(8, 4), (std::vector<uint8_t>{9, 9, 9, 9}));
-
-  // A slice that lands exactly on the shared chunk still shares it.
-  Buffer s = b.Slice(4, 4);
-  EXPECT_EQ(s.SharedSpan(0, 4).get(), block.get());
-}
-
 TEST(Buffer, CrcMatchesMaterialized) {
   Buffer b;
   b.AppendBytes(std::vector<uint8_t>{5, 6, 7});

@@ -365,6 +365,50 @@ TEST_F(WriteCacheTest, LogWrapsAroundAndRecovers) {
   EXPECT_TRUE(fresh->map().LookupOne(kMiB).has_value());
 }
 
+// A record that ends exactly on the region end leaves no room before it:
+// the next record must wrap to the log start instead of running past the
+// region into whatever the SSD holds next (here, a read-cache region).
+TEST_F(WriteCacheTest, RecordEndingOnRegionEndWrapsNextRecord) {
+  const uint64_t region_end = base_ + kRegionSize;
+  const uint64_t log_base = region_end - wc_->log_size();
+  const uint64_t neighbour = *host_.AllocRegion(kMiB);
+  ASSERT_EQ(neighbour, region_end);
+  Buffer sentinel = TestPattern(4 * kBlockSize, 77);
+  std::optional<Status> ws;
+  host_.ssd()->Write(neighbour, sentinel, [&](Status s) { ws = s; });
+  sim_.Run();
+  ASSERT_TRUE(ws.has_value() && ws->ok());
+
+  // Fill the log exactly: records of 4 KiB header + 256 KiB data, then one
+  // record sized to end on the region end.
+  const uint64_t data = 256 * kKiB;
+  const uint64_t full = (wc_->log_size() - 2 * kBlockSize) /
+                        (kBlockSize + data);
+  uint64_t batch = 1;
+  for (uint64_t i = 0; i < full; i++) {
+    ASSERT_TRUE(Append(i * data, Buffer::Zeros(data), batch++).ok());
+  }
+  const uint64_t last = wc_->log_size() - full * (kBlockSize + data) -
+                        kBlockSize;
+  wc_->ReleaseThrough(batch);  // lets the first records be evicted
+  ASSERT_TRUE(Append(full * data, TestPattern(last, 5), batch++).ok());
+  ASSERT_EQ(wc_->map().LookupOne(full * data)->plba + last, region_end);
+
+  Buffer next = TestPattern(kBlockSize, 6);
+  ASSERT_TRUE(Append(0, next, batch++).ok());
+  EXPECT_EQ(wc_->map().LookupOne(0)->plba, log_base + kBlockSize);
+  auto r = ReadVlba(0, kBlockSize);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, next);
+
+  std::optional<Result<Buffer>> rs;
+  host_.ssd()->Read(neighbour, sentinel.size(),
+                    [&](Result<Buffer> rr) { rs = std::move(rr); });
+  sim_.Run();
+  ASSERT_TRUE(rs.has_value() && rs->ok());
+  EXPECT_EQ(**rs, sentinel);
+}
+
 TEST_F(WriteCacheTest, RecoverWithoutFormatFails) {
   host_.ssd()->DiscardAll();
   wc_->Kill();
