@@ -31,6 +31,7 @@ double MeasureMbps(LsvdConfig config, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "ablation_design_choices");
   const double seconds = ArgDouble(argc, argv, "seconds", 8.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 4.0);

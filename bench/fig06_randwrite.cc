@@ -10,6 +10,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N", "json"});
   PerfScope perf(argc, argv, "fig06_randwrite");
   const double seconds = ArgDouble(argc, argv, "seconds", 3.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 8.0);

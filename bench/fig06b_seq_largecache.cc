@@ -10,6 +10,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "fig06b_seq_largecache");
   const double seconds = ArgDouble(argc, argv, "seconds", 3.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 4.0);

@@ -29,6 +29,7 @@ void WarmReads(World* world, VirtualDisk* disk) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N", "json"});
   PerfScope perf(argc, argv, "fig07_randread");
   const double seconds = ArgDouble(argc, argv, "seconds", 3.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 4.0);

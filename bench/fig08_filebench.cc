@@ -12,6 +12,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "fig08_filebench");
   const double seconds = ArgDouble(argc, argv, "seconds", 10.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 8.0);

@@ -11,6 +11,8 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv,
+             {"seconds=N", "volume-gib=N", "sequential=N", "json"});
   PerfScope perf(argc, argv, "fig09_smallcache_randwrite");
   const double seconds = ArgDouble(argc, argv, "seconds", 12.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 8.0);

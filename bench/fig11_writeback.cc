@@ -24,6 +24,7 @@ struct Timeline {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"burst-gib=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "fig11_writeback");
   const double burst_gib = ArgDouble(argc, argv, "burst-gib", 1.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 8.0);

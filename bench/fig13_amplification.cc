@@ -11,6 +11,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "fig13_amplification");
   const double seconds = ArgDouble(argc, argv, "seconds", 5.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 4.0);

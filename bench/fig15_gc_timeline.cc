@@ -12,6 +12,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N", "volume-gib=N"});
   PerfScope perf(argc, argv, "fig15_gc_timeline");
   const double seconds = ArgDouble(argc, argv, "seconds", 30.0);
   const double vol_gib = ArgDouble(argc, argv, "volume-gib", 2.0);

@@ -119,6 +119,9 @@ ScenarioResult RunScenario(uint64_t volume, double seconds, bool with_writer,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv,
+             {"smoke", "seconds=N", "volume-gib=N", "writer-cap-mbps=N",
+              "json"});
   PerfScope perf(argc, argv, "fig17_multitenant");
   const bool smoke = ArgFlag(argc, argv, "smoke");
   const double seconds = ArgDouble(argc, argv, "seconds", smoke ? 0.05 : 3.0);

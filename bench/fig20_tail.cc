@@ -131,6 +131,9 @@ CellResult RunCell(Sys sys, bool open_loop, double rate_iops, double seconds,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv,
+             {"smoke", "seconds=N", "volume-gib=N", "seal-deadline-us=N",
+              "json"});
   PerfScope perf(argc, argv, "fig20_tail");
   const bool smoke = ArgFlag(argc, argv, "smoke");
   const double seconds = ArgDouble(argc, argv, "seconds", smoke ? 0.05 : 2.0);

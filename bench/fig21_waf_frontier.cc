@@ -77,6 +77,7 @@ const char* BestName(const double wafs[3]) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"scale=N"});
   PerfScope perf(argc, argv, "fig21_waf_frontier");
   const auto scale = static_cast<uint64_t>(ArgDouble(argc, argv, "scale", 48));
   PrintHeader("fig21_waf_frontier",

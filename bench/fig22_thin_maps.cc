@@ -181,6 +181,7 @@ GcSimResult RunChurn(const Params& p, bool discard) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"smoke"});
   PerfScope perf(argc, argv, "fig22_thin_maps");
   const bool smoke = ArgFlag(argc, argv, "smoke");
   const Params p = smoke ? SmokeParams() : FullParams();

@@ -16,8 +16,8 @@
 # and a summary table (events/sec, simulated-IOs/sec, wall seconds per bench
 # plus totals) is printed at the end.
 #
-# With --jobs=N, up to N benches run concurrently (multi-process perf sweep;
-# DESIGN.md section 14). Results print in submission order once all jobs
+# With --jobs=N, up to N benches run concurrently (multi-process perf
+# sweep). Results print in submission order once all jobs
 # finish, any child failure makes the script exit non-zero, and perf-mode
 # JSON lands in a private per-job directory first and is published into the
 # results dir with an atomic same-filesystem rename — concurrent jobs can

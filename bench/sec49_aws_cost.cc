@@ -10,6 +10,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"seconds=N"});
   PerfScope perf(argc, argv, "sec49_aws_cost");
   const double seconds = ArgDouble(argc, argv, "seconds", 5.0);
   PrintHeader("sec49_aws_cost",

@@ -11,6 +11,7 @@ using namespace lsvd;
 using namespace lsvd::bench;
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"ops=N"});
   PerfScope perf(argc, argv, "tbl03_filebench_stats");
   const double ops = ArgDouble(argc, argv, "ops", 300000);
   PrintHeader("tbl03_filebench_stats",

@@ -104,6 +104,7 @@ TrialResult RunTrial(World* world, VirtualDisk* disk,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"trials=N"});
   PerfScope perf(argc, argv, "tbl04_crash");
   const int trials = static_cast<int>(ArgDouble(argc, argv, "trials", 3));
   PrintHeader("tbl04_crash",

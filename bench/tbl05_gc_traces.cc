@@ -54,6 +54,7 @@ GcSimResult RunTrace(const TraceProfile& profile, uint64_t scale, bool merge,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"scale=N"});
   PerfScope perf(argc, argv, "tbl05_gc_traces");
   const auto scale = static_cast<uint64_t>(ArgDouble(argc, argv, "scale", 48));
   PrintHeader("tbl05_gc_traces",

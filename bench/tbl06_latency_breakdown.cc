@@ -32,6 +32,7 @@ Nanos MeasureIsolated(World* world, LsvdDisk* disk, bool write,
 }  // namespace
 
 int main(int argc, char** argv) {
+  CheckFlags(argc, argv, {"json"});
   PerfScope perf(argc, argv, "tbl06_latency_breakdown");
   PrintHeader("tbl06_latency_breakdown",
               "Table 6 — single read / write stage breakdown");

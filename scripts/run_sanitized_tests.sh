@@ -2,8 +2,8 @@
 # Configures a dedicated build tree with -DLSVD_SANITIZE=address,undefined
 # and runs the test suite under it. Usage:
 #
-#   scripts/run_sanitized_tests.sh [--touched[=BASE] | --tsan] \
-#       [build-dir] [ctest-args...]
+#   scripts/run_sanitized_tests.sh [--touched[=BASE]] [build-dir] \
+#       [ctest-args...]
 #
 # Defaults to build-asan/ next to the source tree. Extra arguments are
 # forwarded to ctest (e.g. -R LsvdDisk to narrow the run). The fault model
@@ -14,17 +14,11 @@
 # are built and executed — the cheap sanitizer pass the tier-1 ctest flow
 # runs on every change (see tests/CMakeLists.txt, `sanitized_touched`).
 # When nothing relevant changed it exits 0 without configuring anything.
-#
-# With --tsan, a separate build tree (default build-tsan/) is configured with
-# -DLSVD_SANITIZE=thread and the parallel-engine test binaries — the only
-# multithreaded code in the repo — run under ThreadSanitizer (see DESIGN.md
-# section 14; tests/CMakeLists.txt registers this as `sanitized_tsan`).
 set -eu
 
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 TOUCHED=0
-TSAN=0
 BASE="HEAD"
 case "${1:-}" in
   --touched)
@@ -36,41 +30,19 @@ case "${1:-}" in
     BASE="${1#--touched=}"
     shift
     ;;
-  --tsan)
-    TSAN=1
-    shift
-    ;;
 esac
 
-if [ "$TSAN" = 1 ]; then
-  BUILD_DIR="${1:-$SRC_DIR/build-tsan}"
-else
-  BUILD_DIR="${1:-$SRC_DIR/build-asan}"
-fi
+BUILD_DIR="${1:-$SRC_DIR/build-asan}"
 shift || true
-
-if [ "$TSAN" = 1 ]; then
-  TSAN_TARGETS="sim_domain_test parallel_determinism_test fleet_test"
-  cmake -S "$SRC_DIR" -B "$BUILD_DIR" \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DLSVD_SANITIZE=thread
-  # shellcheck disable=SC2086
-  cmake --build "$BUILD_DIR" -j "$(nproc)" --target $TSAN_TARGETS
-  export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
-  status=0
-  for t in $TSAN_TARGETS; do
-    echo "=== tsan: $t ==="
-    "$BUILD_DIR/tests/$t" || status=1
-  done
-  exit "$status"
-fi
 
 if [ "$TOUCHED" = 1 ]; then
   if ! git -C "$SRC_DIR" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     echo "sanitized: not a git checkout, skipping touched-test pass"
     exit 0
   fi
-  changed="$( { git -C "$SRC_DIR" diff --name-only "$BASE" -- 'tests/*.cc';
+  # --diff-filter=d: a deleted test file has no target left to build.
+  changed="$( { git -C "$SRC_DIR" diff --name-only --diff-filter=d "$BASE" \
+                    -- 'tests/*.cc';
                 git -C "$SRC_DIR" ls-files --others --exclude-standard \
                     -- 'tests/*.cc'; } 2>/dev/null | sort -u)"
   targets=""

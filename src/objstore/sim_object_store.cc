@@ -1,10 +1,6 @@
 #include "src/objstore/sim_object_store.h"
 
-#include <cassert>
 #include <utility>
-
-#include "src/sim/cross_domain_channel.h"
-#include "src/sim/sim_domain.h"
 
 namespace lsvd {
 namespace {
@@ -23,8 +19,7 @@ SimObjectStore::SimObjectStore(Simulator* sim, BackendCluster* cluster,
                                MetricsRegistry* metrics,
                                const std::string& prefix,
                                ObjectBucket* bucket)
-    : sim_(sim), cluster_(cluster), link_(link), config_(config),
-      backend_sim_(sim) {
+    : sim_(sim), cluster_(cluster), link_(link), config_(config) {
   if (bucket == nullptr) {
     owned_bucket_ = std::make_unique<ObjectBucket>();
     bucket = owned_bucket_.get();
@@ -74,15 +69,6 @@ uint64_t SimObjectStore::Allocate(int disk, uint32_t len) {
     head = kDataRegionBase;
   }
   return offset;
-}
-
-void SimObjectStore::BindBackendDomain(SimDomain* backend,
-                                       CrossDomainChannel* to_backend,
-                                       CrossDomainChannel* to_client) {
-  assert(to_backend->dst() == backend && to_client->src() == backend);
-  backend_sim_ = backend->sim();
-  to_backend_ = to_backend;
-  to_client_ = to_client;
 }
 
 void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
@@ -135,7 +121,7 @@ void SimObjectStore::BackendWrites(const std::string& name, uint64_t size,
   *issued_all = true;
   if (*remaining == 0) {
     // Zero-byte object: commit immediately.
-    backend_sim_->After(0, all_done);
+    sim_->After(0, all_done);
   }
 }
 
@@ -149,10 +135,6 @@ void SimObjectStore::Put(const std::string& name, Buffer data,
   }
   c_puts_->Inc();
   c_put_bytes_->Inc(data.size());
-  if (to_backend_ != nullptr) {
-    PutViaDomain(name, std::move(data), std::move(done));
-    return;
-  }
   const uint64_t epoch = epoch_;
   const uint64_t size = data.size();
   // Phase 1: the object body crosses the client link.
@@ -186,49 +168,7 @@ void SimObjectStore::Put(const std::string& name, Buffer data,
   });
 }
 
-// Domain-split Put: same virtual-time offsets as the sequential path — link
-// transfer, half_rtt + put_overhead to the gateway, backend disk writes,
-// half_rtt ack — but the middle leg runs on the backend domain's simulator
-// and only (cookie, name, size) cross the boundary. Two visible differences,
-// both documented in DESIGN.md §14: the object map insert happens when the
-// ack lands (client time) rather than when the last disk write completes
-// (backend time), and the commit epoch is captured when the body finishes
-// crossing the link rather than at gateway arrival.
-void SimObjectStore::PutViaDomain(const std::string& name, Buffer data,
-                                  PutCallback done) {
-  const uint64_t epoch = epoch_;
-  const uint64_t size = data.size();
-  link_->SendToBackend(size, [this, epoch, name, size,
-                              data = std::move(data),
-                              done = std::move(done)]() mutable {
-    if (epoch != epoch_) {
-      return;  // client crashed mid-transfer: PUT abandoned
-    }
-    const uint64_t cookie = next_cookie_++;
-    pending_puts_.emplace(
-        cookie, PendingPut{name, std::move(data), std::move(done), epoch_});
-    to_backend_->SendAfter(
-        link_->half_rtt() + config_.put_overhead,
-        [this, cookie, name, size]() {
-          BackendWrites(name, size, [this, cookie]() {
-            to_client_->SendAfter(link_->half_rtt(), [this, cookie]() {
-              auto node = pending_puts_.extract(cookie);
-              PendingPut& put = node.mapped();
-              bucket_->objects[put.name] = std::move(put.data);
-              if (put.epoch == epoch_) {
-                put.done(Status::Ok());
-              }
-            });
-          });
-        });
-  });
-}
-
 void SimObjectStore::ReadTiming(uint64_t bytes, std::function<void()> done) {
-  if (to_backend_ != nullptr) {
-    ReadViaDomain(bytes, std::move(done));
-    return;
-  }
   // Request out (negligible size) + gateway overhead + backend disk read(s)
   // + body back.
   const uint64_t epoch = epoch_;
@@ -252,39 +192,6 @@ void SimObjectStore::ReadTiming(uint64_t bytes, std::function<void()> done) {
       });
     });
   });
-}
-
-// Domain-split read timing: request hop (half_rtt + gateway overhead) to the
-// backend domain, disk read there, then the response hop. The sequential
-// path charges NIC-receive serialization before the final half_rtt of
-// propagation; here the response crosses the channel (propagation) first and
-// serializes on the client NIC on arrival — same total service time, only
-// the queueing order differs under rx contention (DESIGN.md §14).
-void SimObjectStore::ReadViaDomain(uint64_t bytes,
-                                   std::function<void()> done) {
-  const uint64_t cookie = next_cookie_++;
-  pending_reads_.emplace(cookie, PendingRead{std::move(done), epoch_});
-  to_backend_->SendAfter(
-      link_->half_rtt() + config_.get_overhead, [this, cookie, bytes]() {
-        const auto chunk = static_cast<uint32_t>(
-            std::min<uint64_t>(RoundUp(std::max<uint64_t>(bytes, 4 * kKiB),
-                                       4 * kKiB),
-                               UINT32_MAX));
-        const int disk =
-            cluster_->PickDisk(NameHash("read", alloc_head_[0]), 0);
-        cluster_->Read(disk, Allocate(disk, 0), chunk,
-                       [this, cookie, bytes]() {
-          to_client_->SendAfter(link_->half_rtt(), [this, cookie, bytes]() {
-            link_->ReceiveFromBackend(bytes, [this, cookie]() {
-              auto node = pending_reads_.extract(cookie);
-              PendingRead& read = node.mapped();
-              if (read.epoch == epoch_) {
-                read.done();
-              }
-            });
-          });
-        });
-      });
 }
 
 void SimObjectStore::Get(const std::string& name, GetCallback done) {

@@ -55,18 +55,12 @@ struct ObjectStoreStats {
   uint64_t deletes = 0;
 };
 
-class CrossDomainChannel;
-class SimDomain;
-
 // The durable object namespace of one backend shard. By default every
 // SimObjectStore owns a private bucket (the historical single-host
 // behavior); a fleet (src/fleet) builds one bucket per shard and hands the
 // same bucket to every host's store view, so objects PUT through host A's
 // view are visible to host B's — the property live migration, failover
-// recover-attach and cross-host clone fan-out all rest on. A bucket must
-// only be shared between stores whose client sides run on one simulator
-// (one SimDomain): the map is mutated from client event context, so
-// cross-domain sharing would be a data race (DESIGN.md §15).
+// recover-attach and cross-host clone fan-out all rest on.
 struct ObjectBucket {
   std::map<std::string, Buffer> objects;
 };
@@ -80,17 +74,6 @@ class SimObjectStore : public ObjectStore {
                  MetricsRegistry* metrics = nullptr,
                  const std::string& prefix = "objstore",
                  ObjectBucket* bucket = nullptr);
-
-  // Parallel engine (DESIGN.md §14): runs this store's backend half — the
-  // BackendCluster disk/WAL work and the gateway overheads — on `backend`'s
-  // simulator, with the two channels carrying the request and response hops.
-  // The cluster passed at construction must have been built on `backend`'s
-  // simulator. Client-side state (the object map, epoch, counters, NetLink
-  // queues, pending completions) stays on the constructing simulator.
-  // Without this call the store runs entirely on `sim` — byte-identical to
-  // the pre-parallel engine.
-  void BindBackendDomain(SimDomain* backend, CrossDomainChannel* to_backend,
-                         CrossDomainChannel* to_client);
 
   void Put(const std::string& name, Buffer data, PutCallback done) override;
   void Get(const std::string& name, GetCallback done) override;
@@ -110,14 +93,9 @@ class SimObjectStore : public ObjectStore {
 
  private:
   // Issues the stripe/metadata disk writes for an object of `size` bytes.
-  // Runs on the backend simulator (== sim_ unless a domain is bound); only
-  // the object name and size cross the domain boundary, never the Buffer.
   void BackendWrites(const std::string& name, uint64_t size,
                      std::function<void()> all_done);
   void ReadTiming(uint64_t bytes, std::function<void()> done);
-  // Domain-split twins of the Put / ReadTiming bodies (see .cc).
-  void PutViaDomain(const std::string& name, Buffer data, PutCallback done);
-  void ReadViaDomain(uint64_t bytes, std::function<void()> done);
   uint64_t Allocate(int disk, uint32_t len);
   static uint64_t NameHash(const std::string& name, uint64_t salt);
 
@@ -129,26 +107,6 @@ class SimObjectStore : public ObjectStore {
   ObjectBucket* bucket_;
   std::vector<uint64_t> alloc_head_;  // per-disk data-region bump allocator
   uint64_t epoch_ = 0;
-
-  // Parallel-engine state. backend_sim_ aliases sim_ until BindBackendDomain
-  // splits the store; the pending maps keep Buffers and completion closures
-  // on the client side, keyed by a cookie that crosses the boundary instead.
-  Simulator* backend_sim_;
-  CrossDomainChannel* to_backend_ = nullptr;
-  CrossDomainChannel* to_client_ = nullptr;
-  uint64_t next_cookie_ = 0;
-  struct PendingPut {
-    std::string name;
-    Buffer data;
-    PutCallback done;
-    uint64_t epoch;
-  };
-  struct PendingRead {
-    std::function<void()> done;
-    uint64_t epoch;
-  };
-  std::map<uint64_t, PendingPut> pending_puts_;
-  std::map<uint64_t, PendingRead> pending_reads_;
 
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_;

@@ -9,12 +9,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "src/sim/server_queue.h"
 #include "src/sim/simulator.h"
-#include "src/util/metrics.h"
 #include "src/util/units.h"
 
 namespace lsvd {
@@ -47,18 +45,6 @@ class NetLink {
 
   uint64_t bytes_sent() const { return sent_; }
   uint64_t bytes_received() const { return received_; }
-
-  // Opt-in byte-counter gauges (callers that want them in --json dumps call
-  // this once after construction; the counters exist either way).
-  void RegisterMetrics(MetricsRegistry* metrics,
-                       const std::string& prefix = "net") {
-    metrics->RegisterCallback(prefix + ".bytes_sent", [this] {
-      return static_cast<double>(sent_);
-    });
-    metrics->RegisterCallback(prefix + ".bytes_received", [this] {
-      return static_cast<double>(received_);
-    });
-  }
 
   Nanos TransferTime(uint64_t bytes) const {
     return static_cast<Nanos>(static_cast<double>(bytes) /

@@ -138,17 +138,4 @@ uint64_t Simulator::RunUntil(Nanos t) {
   return processed;
 }
 
-uint64_t Simulator::RunBefore(Nanos limit) {
-  uint64_t processed = 0;
-  // Same peek-before-settle discipline as RunUntil: only commit cursor
-  // movement when the event is actually popped.
-  while (size_ > 0 && PeekNextTime() < limit) {
-    Event ev = PopFrom(SettleEarliest());
-    now_ = ev.t;
-    ev.fn();
-    processed++;
-  }
-  return processed;
-}
-
 }  // namespace lsvd

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <bit>
-#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -57,35 +56,6 @@ class Simulator {
   // Runs events with timestamps <= `t`, then sets the clock to `t`.
   // Returns the number of events processed.
   uint64_t RunUntil(Nanos t);
-
-  // Sentinel returned by next_event_time() when the queue is empty.
-  static constexpr Nanos kNoEventTime = INT64_MAX;
-
-  // Timestamp of the earliest pending event, or kNoEventTime when empty.
-  // Does not mutate queue state, so the parallel coordinator may call it
-  // between windows without committing cursor movement.
-  Nanos next_event_time() const {
-    return size_ == 0 ? kNoEventTime : PeekNextTime();
-  }
-
-  // Runs events with timestamps strictly below `limit` and leaves the clock
-  // at the last executed event (it does NOT advance to `limit`). This is the
-  // window-execution primitive of the parallel engine (sim_domain.h): events
-  // scheduled at exactly `limit` may still race with cross-domain messages
-  // delivered at `limit`, so they belong to the next window.
-  // Returns the number of events processed.
-  uint64_t RunBefore(Nanos limit);
-
-  // Advances the clock to `t` without running anything. Precondition: no
-  // pending event is earlier than `t`. The parallel coordinator uses this to
-  // line up quiesced domains before a barrier task so every domain observes
-  // the same now().
-  void AdvanceTo(Nanos t) {
-    assert(size_ == 0 || PeekNextTime() >= t);
-    if (now_ < t) {
-      now_ = t;
-    }
-  }
 
   bool empty() const { return size_ == 0; }
   size_t pending_events() const { return size_; }

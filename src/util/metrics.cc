@@ -1,13 +1,25 @@
 #include "src/util/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace lsvd {
 namespace {
+
+// A name keeps the kind it was first registered as, in every build type:
+// letting a second kind rebind the slot would export the wrong series.
+void CheckKind(const std::string& name, bool conflict) {
+  if (conflict) {
+    std::fprintf(stderr,
+                 "MetricsRegistry: metric '%s' re-registered with a "
+                 "different kind\n",
+                 name.c_str());
+    std::abort();
+  }
+}
 
 // JSON string escape for metric names (ASCII identifiers in practice, but be
 // correct regardless).
@@ -218,8 +230,8 @@ std::string MetricsSnapshot::ToTable() const {
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   Slot& slot = slots_[name];
   if (slot.counter == nullptr) {
-    assert(slot.gauge == nullptr && slot.histogram == nullptr &&
-           !slot.callback && "metric re-registered with a different kind");
+    CheckKind(name, slot.gauge != nullptr || slot.histogram != nullptr ||
+                        slot.callback);
     slot.kind = MetricsSnapshot::Kind::kCounter;
     slot.counter = std::make_unique<Counter>();
   }
@@ -229,8 +241,7 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   Slot& slot = slots_[name];
   if (slot.gauge == nullptr) {
-    assert(slot.counter == nullptr && slot.histogram == nullptr &&
-           "metric re-registered with a different kind");
+    CheckKind(name, slot.counter != nullptr || slot.histogram != nullptr);
     slot.kind = MetricsSnapshot::Kind::kGauge;
     slot.gauge = std::make_unique<Gauge>();
   }
@@ -241,8 +252,8 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          int sub_bits) {
   Slot& slot = slots_[name];
   if (slot.histogram == nullptr) {
-    assert(slot.counter == nullptr && slot.gauge == nullptr &&
-           !slot.callback && "metric re-registered with a different kind");
+    CheckKind(name, slot.counter != nullptr || slot.gauge != nullptr ||
+                        slot.callback);
     slot.kind = MetricsSnapshot::Kind::kHistogram;
     slot.histogram = std::make_unique<Histogram>(sub_bits);
   }
@@ -252,8 +263,7 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 void MetricsRegistry::RegisterCallback(const std::string& name,
                                        std::function<double()> fn) {
   Slot& slot = slots_[name];
-  assert(slot.counter == nullptr && slot.histogram == nullptr &&
-         "metric re-registered with a different kind");
+  CheckKind(name, slot.counter != nullptr || slot.histogram != nullptr);
   slot.kind = MetricsSnapshot::Kind::kGauge;
   slot.callback = std::move(fn);
 }

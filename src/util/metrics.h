@@ -108,8 +108,9 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Get-or-create by name. A name registered as one kind must not be
-  // requested as another (asserts in debug builds, returns a detached
-  // dummy object in release builds so the caller never crashes).
+  // requested as another: the process aborts naming the metric, in every
+  // build type. A gauge and a callback may share a name (see
+  // UnregisterCallback).
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   // `sub_bits` selects the histogram's bucket geometry on first creation

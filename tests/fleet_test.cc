@@ -1,8 +1,8 @@
 // Fleet control plane (src/fleet, docs/FLEET.md): placement policy unit
 // tests, volume-directory epoch fencing, and FleetController functional
 // coverage — create/clone placement, live migration with intact data and
-// measured blackout, host failover via the lease detector, capacity
-// rejection, and determinism of the parallel fleet across thread counts.
+// measured blackout, host failover via the lease detector (with and without
+// auto_failover), and capacity rejection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -130,7 +130,7 @@ TEST(VolumeDirectoryTest, EpochFlipFencesOldWritersButNotReaders) {
   EXPECT_EQ(mem.List("vol.").size(), 1u);  // the fenced PUT never landed
 }
 
-// --- fleet controller (sequential engine) ---
+// --- fleet controller ---
 
 FleetConfig SmallFleetConfig(int hosts) {
   FleetConfig fc;
@@ -305,45 +305,63 @@ TEST(FleetTest, MigrationRejectsBadArguments) {
   EXPECT_EQ(one.MigrateVolume(lone).code(), StatusCode::kResourceExhausted);
 }
 
+// With auto_failover the lease detector re-places the dead host's volumes
+// and they serve their drained data; without it the host is only declared
+// dead and its volumes stay kDown. Either way detection takes about one
+// lease.
 TEST(FleetTest, LeaseDetectorFailsOverKilledHostsVolumes) {
-  Simulator sim;
-  FleetController fleet(&sim, SmallFleetConfig(3));
-  std::vector<int> ids;
-  std::vector<std::vector<uint8_t>> payloads;
-  for (int i = 0; i < 3; i++) {
-    int id = -1;
-    ASSERT_TRUE(
-        CreateSync(&sim, &fleet, &id, "vol" + std::to_string(i)).ok());
-    const Buffer data = TestPattern(64 * kKiB, 100 + static_cast<uint64_t>(i));
-    payloads.push_back(data.ToBytes());
-    ASSERT_TRUE(WriteSync(&sim, fleet.disk(id), 0, data).ok());
-    // Recover-attach is OpenCacheLost: only drained data must survive.
-    ASSERT_TRUE(DrainSync(&sim, fleet.disk(id)).ok());
-    ids.push_back(id);
-  }
-  const int victim_host = fleet.host_of(ids[0]);
+  for (const bool auto_failover : {true, false}) {
+    SCOPED_TRACE(auto_failover ? "auto_failover" : "detect only");
+    Simulator sim;
+    FleetConfig fc = SmallFleetConfig(3);
+    fc.auto_failover = auto_failover;
+    FleetController fleet(&sim, fc);
+    std::vector<int> ids;
+    std::vector<std::vector<uint8_t>> payloads;
+    for (int i = 0; i < 3; i++) {
+      int id = -1;
+      ASSERT_TRUE(
+          CreateSync(&sim, &fleet, &id, "vol" + std::to_string(i)).ok());
+      const Buffer data =
+          TestPattern(64 * kKiB, 100 + static_cast<uint64_t>(i));
+      payloads.push_back(data.ToBytes());
+      ASSERT_TRUE(WriteSync(&sim, fleet.disk(id), 0, data).ok());
+      // Recover-attach is OpenCacheLost: only drained data must survive.
+      ASSERT_TRUE(DrainSync(&sim, fleet.disk(id)).ok());
+      ids.push_back(id);
+    }
+    const int victim_host = fleet.host_of(ids[0]);
 
-  const Nanos t0 = sim.now();
-  fleet.RunControlPlane(t0 + FromSeconds(2.0));
-  sim.At(t0 + 300 * kMillisecond, [&] { fleet.KillHost(victim_host); });
-  sim.Run();
+    const Nanos t0 = sim.now();
+    fleet.RunControlPlane(t0 + FromSeconds(2.0));
+    sim.At(t0 + 300 * kMillisecond, [&] { fleet.KillHost(victim_host); });
+    sim.Run();
 
-  EXPECT_FALSE(fleet.host_process_alive(victim_host));
-  EXPECT_TRUE(fleet.host_declared_dead(victim_host));
-  EXPECT_GE(fleet.metrics().GetCounter("fleet.leases_expired")->value(), 1u);
-  EXPECT_EQ(fleet.metrics().GetCounter("fleet.failovers")->value(), 1u);
-  for (size_t i = 0; i < ids.size(); i++) {
-    ASSERT_EQ(fleet.health(ids[static_cast<size_t>(i)]),
-              FleetController::VolumeHealth::kActive);
-    EXPECT_NE(fleet.host_of(ids[i]), victim_host);
-    auto back = ReadSync(&sim, fleet.disk(ids[i]), 0, 64 * kKiB);
-    ASSERT_TRUE(back.ok());
-    EXPECT_TRUE(back->ToBytes() == payloads[i]) << "volume " << ids[i];
+    EXPECT_FALSE(fleet.host_process_alive(victim_host));
+    EXPECT_TRUE(fleet.host_declared_dead(victim_host));
+    EXPECT_EQ(fleet.metrics().GetCounter("fleet.leases_expired")->value(),
+              1u);
+    EXPECT_EQ(fleet.metrics().GetCounter("fleet.failovers")->value(),
+              auto_failover ? 1u : 0u);
+    for (size_t i = 0; i < ids.size(); i++) {
+      if (!auto_failover && fleet.host_of(ids[i]) == victim_host) {
+        EXPECT_EQ(fleet.health(ids[i]), FleetController::VolumeHealth::kDown);
+        continue;
+      }
+      ASSERT_EQ(fleet.health(ids[i]), FleetController::VolumeHealth::kActive);
+      EXPECT_NE(fleet.host_of(ids[i]), victim_host);
+      auto back = ReadSync(&sim, fleet.disk(ids[i]), 0, 64 * kKiB);
+      ASSERT_TRUE(back.ok());
+      EXPECT_TRUE(back->ToBytes() == payloads[i]) << "volume " << ids[i];
+    }
+    // Detection = lease_duration + check-grid rounding: on the order of the
+    // 250 ms lease (>= 100 ms even after histogram bucket quantization) and
+    // well under a second.
+    const auto snap = fleet.metrics().Snapshot();
+    const double detect_us = snap.Percentile("fleet.failover.detect_us", 0.5);
+    EXPECT_GT(detect_us, 100e3);
+    EXPECT_LT(detect_us, 1e6);
   }
-  // Detection latency was recorded, on the order of the 250 ms lease
-  // (>=100 ms even after histogram bucket quantization).
-  const auto snap = fleet.metrics().Snapshot();
-  EXPECT_GE(snap.Percentile("fleet.failover.detect_us", 0.5), 100e3);
 }
 
 TEST(FleetTest, HeartbeatsKeepHealthyHostsAlive) {
@@ -358,107 +376,6 @@ TEST(FleetTest, HeartbeatsKeepHealthyHostsAlive) {
   for (int h = 0; h < 2; h++) {
     EXPECT_FALSE(fleet.host_declared_dead(h));
   }
-}
-
-// --- parallel engine ---
-
-std::string RunParallelFleet(int threads) {
-  MetricsRegistry metrics;
-  Simulator control_inner;
-  SimDomainGroup group;
-  SimDomain* control = group.AdoptDomain("control", &control_inner);
-  FleetConfig fc = SmallFleetConfig(3);
-  FleetController fleet(&group, control, fc, &metrics);
-  for (int i = 0; i < 6; i++) {
-    fleet.CreateVolume(SmallVolumeConfig("vol" + std::to_string(i)));
-  }
-  group.Run(threads);
-  Nanos latest = control_inner.now();
-  for (int h = 0; h < fleet.num_hosts(); h++) {
-    latest = std::max(latest, fleet.host_sim(h)->now());
-  }
-  fleet.RunControlPlane(latest + 500 * kMillisecond);
-  group.Run(threads);
-  return metrics.ToJson();
-}
-
-TEST(FleetParallelTest, MetricDumpIdenticalAcrossThreadCounts) {
-  const std::string one = RunParallelFleet(1);
-  EXPECT_EQ(one, RunParallelFleet(2));
-  EXPECT_EQ(one, RunParallelFleet(4));
-}
-
-// Regression: the control domain idles while host domains serve I/O, so its
-// clock can lag the fleet by whole virtual seconds when RunControlPlane is
-// called. The lease bookkeeping must anchor at the fleet-wide latest clock —
-// an implementation keying off the control domain's own now() reads that
-// skew as heartbeat silence and declares every host dead.
-TEST(FleetParallelTest, LaggingControlDomainCausesNoSpuriousExpiry) {
-  MetricsRegistry metrics;
-  Simulator control_inner;
-  SimDomainGroup group;
-  SimDomain* control = group.AdoptDomain("control", &control_inner);
-  FleetController fleet(&group, control, SmallFleetConfig(2), &metrics);
-  const int id = fleet.CreateVolume(SmallVolumeConfig("busy"));
-  ASSERT_GE(id, 0);
-  group.Run(2);
-  // Busy host: a long write burst pushes its domain clock far ahead of the
-  // idle control domain.
-  Simulator* hsim = fleet.host_sim(fleet.host_of(id));
-  for (int i = 0; i < 64; i++) {
-    const Nanos t = hsim->now() + static_cast<Nanos>(i) * 10 * kMillisecond;
-    hsim->At(t, [&fleet, id, i] {
-      fleet.disk(id)->Write(static_cast<uint64_t>(i) * 64 * kKiB,
-                            TestPattern(4 * kKiB, static_cast<uint64_t>(i)),
-                            [](Status) {});
-    });
-  }
-  group.Run(2);
-  ASSERT_GT(hsim->now(), control_inner.now());
-
-  Nanos latest = control_inner.now();
-  for (int h = 0; h < fleet.num_hosts(); h++) {
-    latest = std::max(latest, fleet.host_sim(h)->now());
-  }
-  fleet.RunControlPlane(latest + FromSeconds(1.0));
-  group.Run(2);
-  EXPECT_EQ(metrics.GetCounter("fleet.leases_expired")->value(), 0u);
-  for (int h = 0; h < fleet.num_hosts(); h++) {
-    EXPECT_FALSE(fleet.host_declared_dead(h)) << "host " << h;
-  }
-  EXPECT_GT(metrics.GetCounter("fleet.heartbeats")->value(), 0u);
-}
-
-TEST(FleetParallelTest, KilledHostIsDeclaredDeadByLeaseDetector) {
-  MetricsRegistry metrics;
-  Simulator control_inner;
-  SimDomainGroup group;
-  SimDomain* control = group.AdoptDomain("control", &control_inner);
-  FleetController fleet(&group, control, SmallFleetConfig(2), &metrics);
-  const int id = fleet.CreateVolume(SmallVolumeConfig("vol"));
-  ASSERT_GE(id, 0);
-  group.Run(2);
-
-  Nanos t0 = control_inner.now();
-  for (int h = 0; h < fleet.num_hosts(); h++) {
-    t0 = std::max(t0, fleet.host_sim(h)->now());
-  }
-  const int victim = fleet.host_of(id);
-  fleet.RunControlPlane(t0 + FromSeconds(1.5));
-  group.At(t0 + 200 * kMillisecond, [&] { fleet.KillHost(victim); });
-  group.Run(2);
-
-  EXPECT_TRUE(fleet.host_declared_dead(victim));
-  EXPECT_EQ(metrics.GetCounter("fleet.leases_expired")->value(), 1u);
-  // Recover-attach is sequential-engine-only; the volume stays down.
-  EXPECT_EQ(fleet.health(id), FleetController::VolumeHealth::kDown);
-  const auto snap = metrics.Snapshot();
-  // Detection = lease_duration + check-grid rounding, well under a second.
-  const double detect_us = snap.Percentile("fleet.failover.detect_us", 0.5);
-  EXPECT_GT(detect_us, 100e3);
-  EXPECT_LT(detect_us, 1e6);
-  // Parallel engine refuses the sequential-only management verbs.
-  EXPECT_EQ(fleet.MigrateVolume(id).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -167,6 +167,43 @@ TEST(MetricsRegistry, GetOrCreateReturnsStablePointers) {
   EXPECT_EQ(reg.size(), 3u);
 }
 
+// A name asked for as a second kind aborts with the name in every build
+// type (tier-1 builds define NDEBUG, so an assert would let the slot be
+// silently rebound). A gauge may still share its name with a callback.
+TEST(MetricsRegistryDeathTest, WrongKindAbortsWithName) {
+  EXPECT_DEATH(
+      {
+        MetricsRegistry reg;
+        reg.GetCounter("dup.ops");
+        reg.GetGauge("dup.ops");
+      },
+      "dup\\.ops");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry reg;
+        reg.GetHistogram("dup.lat_us");
+        reg.GetCounter("dup.lat_us");
+      },
+      "dup\\.lat_us");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry reg;
+        reg.GetGauge("dup.depth");
+        reg.GetHistogram("dup.depth");
+      },
+      "dup\\.depth");
+  EXPECT_DEATH(
+      {
+        MetricsRegistry reg;
+        reg.GetCounter("dup.cb");
+        reg.RegisterCallback("dup.cb", [] { return 1.0; });
+      },
+      "dup\\.cb");
+  MetricsRegistry reg;
+  reg.RegisterCallback("shared", [] { return 1.0; });
+  EXPECT_NE(reg.GetGauge("shared"), nullptr);
+}
+
 TEST(MetricsRegistry, CounterGaugeHistogramFlowIntoSnapshot) {
   MetricsRegistry reg;
   reg.GetCounter("writes")->Inc();
